@@ -189,6 +189,45 @@ let test_acceptance_loss02_crash5pct () =
   Alcotest.(check bool) "work happened under faults" true
     (r.F.served > 0 && r.F.retransmissions > 0)
 
+(* Pinned witness: the full trace of a fixed-seed run whose plan has
+   crashes (with restarts), two loss bursts and one partition, over a
+   lossy baseline and a low capacity so replication fires too. Any
+   change to routing, serving, replication, repair dispatch or the rpc
+   and detector interplay moves the digest. *)
+let test_trace_pinned () =
+  let params = Params.create ~m:6 () in
+  let cluster = Cluster.create params in
+  let key = "witness/faults" in
+  ignore (Ops.insert cluster ~key);
+  let rng = Rng.create ~seed:5 in
+  let demand = Demand.uniform (Cluster.status cluster) ~total:400.0 in
+  let live = Status_word.live_pids (Cluster.status cluster) in
+  let plan =
+    Faults.generate ~rng ~live ~duration:30.0 ~crash_fraction:0.1
+      ~restart_fraction:0.5 ~bursts:2 ~partitions:1 ()
+  in
+  Alcotest.(check int) "one partition" 1 (List.length plan.Faults.partitions);
+  let config = { F.default_config with F.loss = 0.02; capacity = 40.0 } in
+  let buf = Buffer.create 65536 in
+  let writer = Lesslog_trace.Trace.Writer.to_buffer buf in
+  let r =
+    F.run ~config ~plan ~sink:(Lesslog_trace.Trace.Writer.emit writer) ~rng
+      ~cluster ~key ~demand ~duration:30.0 ()
+  in
+  Alcotest.(check int) "trace digest" 2369363202406776180
+    (Lesslog_hash.Fnv.hash63 (Buffer.contents buf));
+  Alcotest.(check int) "trace events" 23633
+    (Lesslog_trace.Trace.Writer.count writer);
+  Alcotest.(check int) "issued" 7623 r.F.issued;
+  Alcotest.(check int) "served" 6641 r.F.served;
+  Alcotest.(check int) "faulted" 982 r.F.faulted;
+  Alcotest.(check int) "retransmissions" 7250 r.F.retransmissions;
+  Alcotest.(check int) "replicas" 34 r.F.replicas_created;
+  Alcotest.(check int) "suspicions" 82 r.F.suspicions;
+  Alcotest.(check int) "migrations" 82 r.F.migrations;
+  Alcotest.(check int) "crashes" 6 r.F.crashes;
+  Alcotest.(check int) "messages" 31605 r.F.messages
+
 let () =
   Alcotest.run "faults"
     [
@@ -200,6 +239,7 @@ let () =
           Alcotest.test_case "retransmission idempotent" `Quick
             test_retransmission_idempotent;
           Alcotest.test_case "deterministic" `Quick test_determinism;
+          Alcotest.test_case "trace pinned" `Quick test_trace_pinned;
         ] );
       ( "detector",
         [

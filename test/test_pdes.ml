@@ -462,6 +462,34 @@ let test_pdes_partitions_rejected () =
       ignore
         (Pdes.run ~faults ~seed:1 ~params ~key:"cut" ~demand ~duration:0.5 ()))
 
+(* The four pinned determinism witnesses of the sharded simulator, at
+   one domain (the domain-count invariance tests above compare runs with
+   each other; these compare against fixed values, so a refactor that
+   changes behaviour at every domain count still fails here). *)
+module E = Lesslog_harness.Experiments
+
+let test_pdes_pinned_digests () =
+  let quiet =
+    E.pdes_point ~b:2 ~m:12 ~rate_per_node:2.0 ~duration:3.0 ~capacity:100.0
+      ~seed:42 ()
+  in
+  Alcotest.(check int) "quiet digest" 4453572081834309011 quiet.E.pdes_digest;
+  Alcotest.(check int) "quiet events" 133028 quiet.E.pdes_events;
+  let faulted =
+    E.pdes_fault_point ~b:3 ~m:12 ~rate_per_node:2.0 ~duration:3.0
+      ~capacity:100.0 ~seed:42 ()
+  in
+  Alcotest.(check int) "faulted digest" 412795624496321482
+    faulted.E.pdes_digest;
+  Alcotest.(check int) "faulted events" 113251 faulted.E.pdes_events;
+  let policy =
+    E.adaptive_point ~dynamic:true ~m:11 ~rate:1000.0 ~duration:4.0
+      ~capacity:100.0 ~seed:42 ()
+  in
+  Alcotest.(check int) "policy digest" 660201755615929686 policy.E.ad_digest;
+  let cold = E.coldtier_pdes ~m:8 ~duration:6.0 () in
+  Alcotest.(check int) "cold-tier digest" 1858213071222793190 cold.Pdes.digest
+
 let () =
   Alcotest.run "pdes"
     [
@@ -499,6 +527,7 @@ let () =
             test_pdes_replication_under_load;
           Alcotest.test_case "churn recovers copies" `Quick
             test_pdes_churn_moves_copies;
+          Alcotest.test_case "pinned digests" `Quick test_pdes_pinned_digests;
         ] );
       ( "pdes-faults",
         [

@@ -51,7 +51,7 @@ let grow t i =
   t.counts <- grown;
   t.base <- lo
 
-let add t x =
+let[@inline] add t x =
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;
   if x < t.mn then t.mn <- x;

@@ -192,6 +192,7 @@ let run () =
       ("des/m10_des_events_per_sec", m10.E.events_per_sec);
       ("des/m16_des_events_per_sec", m16.E.events_per_sec);
       ("des/m16_wall_s", m16.E.secs);
+      ("des/m16_cpu_s", m16.E.cpu_secs);
     ];
   Printf.printf "wrote %s\n" (out_file "BENCH_des.json");
   if core16 /. base16 < 5.0 then begin

@@ -237,6 +237,7 @@ let run () =
        ("pdes/steady_events_per_sec", steady.E.pdes_events_per_sec);
        ("pdes/steady_replica_ratio", ratio);
        ("pdes/steady_wall_s", steady.E.pdes_secs);
+       ("pdes/steady_cpu_s", steady.E.pdes_cpu_secs);
      ]
     @ grid);
   Printf.printf "wrote %s\n" (out_file "BENCH_pdes.json");

@@ -173,9 +173,12 @@ let complete st ~id ~origin ~server ~hops ~issued_at =
    fragment holder of a coded key with fewer than k fragments alive. *)
 let fault st ~id ~origin ~hops ~issued_at =
   st.faults <- st.faults + 1;
-  Model.emit st.m
-    (Trace.Event.Request
-       { at = now st; origin = Pid.to_int origin; server = None; hops });
+  (match st.m.sink with
+  | None -> ()
+  | Some f ->
+      f
+        (Trace.Event.Request
+           { at = now st; origin = Pid.to_int origin; server = None; hops }));
   obs_resolved st ~id ~origin:(Pid.to_int origin) ~server:(-1) ~hops
     ~issued_at
 

@@ -82,26 +82,40 @@ let now m = Engine.now m.engine
 let emit m event = match m.sink with None -> () | Some f -> f event
 let holds m p = Cluster.holds m.cluster p ~key:m.key
 
-let route_next m me =
+(* The next hop as an int, [-1] at a dead end: the direct path reads
+   the router's table, so a hop allocates no [Some]. *)
+let next_hop m me =
   match m.substrate with
-  | None -> Topology.route_next m.tree (Cluster.status m.cluster) me
-  | Some sub -> sub.Substrate.next_hop ~key:m.key me
+  | None ->
+      Topology.next_hop_int
+        (Topology.router m.tree (Cluster.status m.cluster))
+        (Pid.to_int me)
+  | Some sub -> (
+      match sub.Substrate.next_hop ~key:m.key me with
+      | Some p -> Pid.to_int p
+      | None -> -1)
 
 let forward m ~me b x =
-  match route_next m me with
-  | Some next when Wire.forwardable b ->
-      Overlay.send_packed m.overlay ~src:me ~dst:next ~b:(Wire.forward b) ~x;
-      true
-  | Some _ | None -> false
+  let next = next_hop m me in
+  if next >= 0 && Wire.forwardable b then begin
+    Overlay.send_packed m.overlay ~src:me ~dst:(Pid.unsafe_of_int next)
+      ~b:(Wire.forward b) ~x;
+    true
+  end
+  else false
 
+(* Trace events are built inside the [Some sink] branch, here and in
+   [accept_push]: an untraced run allocates none. *)
 let note_serve m ~server ~origin ~hops =
-  let i = Pid.to_int server in
-  File_store.record_access (Cluster.store m.cluster server) ~key:m.key
-    ~now:(now m);
-  Access_counter.record m.estimators.(i) ~now:(now m);
-  emit m
-    (Trace.Event.Request
-       { at = now m; origin = Pid.to_int origin; server = Some i; hops })
+  let i = Pid.to_int server and now = now m in
+  File_store.record_access (Cluster.store m.cluster server) ~key:m.key ~now;
+  Access_counter.record m.estimators.(i) ~now;
+  match m.sink with
+  | None -> ()
+  | Some f ->
+      f
+        (Trace.Event.Request
+           { at = now; origin = Pid.to_int origin; server = Some i; hops })
 
 let maybe_replicate m ~overloaded =
   let i = Pid.to_int overloaded in
@@ -133,10 +147,13 @@ let accept_push m ~src ~me b =
     File_store.add (Cluster.store m.cluster me) ~key:m.key
       ~origin:File_store.Replicated ~version:(Wire.payload b) ~now:(now m);
     m.replicas_created <- m.replicas_created + 1;
-    emit m
-      (Trace.Event.Replicate
-         { at = now m; src = Pid.to_int src; dst = Pid.to_int me;
-           key = m.key });
+    (match m.sink with
+    | None -> ()
+    | Some f ->
+        f
+          (Trace.Event.Replicate
+             { at = now m; src = Pid.to_int src; dst = Pid.to_int me;
+               key = m.key }));
     (match m.spans with
     | None -> ()
     | Some spans ->

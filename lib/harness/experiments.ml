@@ -135,11 +135,22 @@ let fig8 ?(config = default) () = dead_series config ~demand_model:Locality
 module Des_sim = Lesslog_des.Des_sim
 module Histogram = Lesslog_metrics.Histogram
 
+(* [f ()] with its wall seconds on the monotonic clock and the
+   process's CPU seconds ([Sys.time], summed over every domain); cpu /
+   wall is the run's effective parallelism. Throughput is quoted against
+   wall time, which is what a parallel speedup shortens. *)
+let timed f =
+  let w0 = Monotonic_clock.now () and c0 = Sys.time () in
+  let r = f () in
+  let cpu = Sys.time () -. c0 in
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) w0) *. 1e-9, cpu)
+
 type des_point = {
   des_m : int;
   nodes : int;
   events : int;
   secs : float;
+  cpu_secs : float;
   events_per_sec : float;
   served : int;
   faults : int;
@@ -163,15 +174,17 @@ let des_point ~m ~rate_per_node ~duration ~capacity ~seed =
   let tag = Printf.sprintf "%d|des|%d" seed m in
   let rng = Rng.create ~seed:(Lesslog_hash.Fnv.hash63 tag land 0x3FFFFFFF) in
   let config = { Des_sim.default_config with capacity } in
-  let t0 = Sys.time () in
-  let r = Des_sim.run ~config ~rng ~cluster ~key:hot_file ~demand ~duration () in
-  let secs = Sys.time () -. t0 in
+  let r, secs, cpu_secs =
+    timed (fun () ->
+        Des_sim.run ~config ~rng ~cluster ~key:hot_file ~demand ~duration ())
+  in
   let q h p = if Histogram.count h = 0 then 0.0 else Histogram.quantile h p in
   {
     des_m = m;
     nodes;
     events = r.Des_sim.events;
     secs;
+    cpu_secs;
     events_per_sec =
       (if secs > 0.0 then float_of_int r.Des_sim.events /. secs else 0.0);
     served = r.Des_sim.served;
@@ -234,6 +247,7 @@ type pdes_point = {
   pdes_nodes : int;
   pdes_events : int;
   pdes_secs : float;
+  pdes_cpu_secs : float;
   pdes_events_per_sec : float;
   pdes_served : int;
   pdes_faults : int;
@@ -264,12 +278,11 @@ let pdes_point ?(b = 2) ?(domains = 1) ?(fuse = true) ?faults ~m ~rate_per_node
   let tag = Printf.sprintf "%d|pdes|%d" seed m in
   let run_seed = Lesslog_hash.Fnv.hash63 tag land 0x3FFFFFFF in
   let config = { Pdes_sim.default_config with capacity } in
-  let t0 = Sys.time () in
-  let r =
-    Pdes_sim.run ~config ?faults ~domains ~fuse ~seed:run_seed ~params
-      ~key:hot_file ~demand ~duration ()
+  let r, secs, cpu_secs =
+    timed (fun () ->
+        Pdes_sim.run ~config ?faults ~domains ~fuse ~seed:run_seed ~params
+          ~key:hot_file ~demand ~duration ())
   in
-  let secs = Sys.time () -. t0 in
   let q h p = if Histogram.count h = 0 then 0.0 else Histogram.quantile h p in
   {
     pdes_m = m;
@@ -278,6 +291,7 @@ let pdes_point ?(b = 2) ?(domains = 1) ?(fuse = true) ?faults ~m ~rate_per_node
     pdes_nodes = nodes;
     pdes_events = r.Pdes_sim.events;
     pdes_secs = secs;
+    pdes_cpu_secs = cpu_secs;
     pdes_events_per_sec =
       (if secs > 0.0 then float_of_int r.Pdes_sim.events /. secs else 0.0);
     pdes_served = r.Pdes_sim.served;
@@ -370,6 +384,7 @@ type adaptive_point = {
   ad_digest : int;
   ad_events : int;
   ad_secs : float;
+  ad_cpu_secs : float;
 }
 
 let adaptive_policy ?config ~params ~capacity () =
@@ -399,12 +414,11 @@ let adaptive_point ?(b = 2) ?(domains = 1) ?policy_config ~dynamic ~m ~rate
     else None
   in
   let config = { Pdes_sim.default_config with capacity } in
-  let t0 = Sys.time () in
-  let r =
-    Pdes_sim.run ~config ?policy ~domains ~seed:run_seed ~params ~key:hot_file
-      ~demand ~duration ()
+  let r, secs, cpu_secs =
+    timed (fun () ->
+        Pdes_sim.run ~config ?policy ~domains ~seed:run_seed ~params
+          ~key:hot_file ~demand ~duration ())
   in
-  let secs = Sys.time () -. t0 in
   {
     ad_label = (if dynamic then "dynamic-rf" else "lesslog");
     ad_m = m;
@@ -428,6 +442,7 @@ let adaptive_point ?(b = 2) ?(domains = 1) ?policy_config ~dynamic ~m ~rate
     ad_digest = r.Pdes_sim.digest;
     ad_events = r.Pdes_sim.events;
     ad_secs = secs;
+    ad_cpu_secs = cpu_secs;
   }
 
 let adaptive_sweep ?(b = 2) ?(domains = 1) ?(m = 10) ?(duration = 8.0)
@@ -642,6 +657,7 @@ type coldtier_point = {
   ct_bytes_end : int;
   ct_lost : bool;
   ct_secs : float;
+  ct_cpu_secs : float;
 }
 
 let coldtier_point ?(m = 10) ?(capacity = 100.0) ?(seed = 42) ?(peak = 500.0)
@@ -721,12 +737,11 @@ let coldtier_point ?(m = 10) ?(capacity = 100.0) ?(seed = 42) ?(peak = 500.0)
       victims
   in
   let config = { Des_sim.default_config with capacity } in
-  let t0 = Sys.time () in
-  let r =
-    Des_sim.run_scenario ~config ~churn ~policy ~cold_tier ~rng ~cluster
-      ~key:hot_file ~scenario ()
+  let r, secs, cpu_secs =
+    timed (fun () ->
+        Des_sim.run_scenario ~config ~churn ~policy ~cold_tier ~rng ~cluster
+          ~key:hot_file ~scenario ())
   in
-  let secs = Sys.time () -. t0 in
   let c =
     match r.Des_sim.cold with
     | Some c -> c
@@ -752,6 +767,7 @@ let coldtier_point ?(m = 10) ?(capacity = 100.0) ?(seed = 42) ?(peak = 500.0)
     ct_bytes_end = c.Des_sim.bytes_stored_end;
     ct_lost = c.Des_sim.lost_cold;
     ct_secs = secs;
+    ct_cpu_secs = cpu_secs;
   }
 
 let coldtier_run ?m ?capacity ?seed ?peak ?peak_duration ?calm_duration

@@ -87,7 +87,10 @@ type des_point = {
   des_m : int;  (** Identifier-space exponent for this row. *)
   nodes : int;  (** Live nodes at the start of the run. *)
   events : int;  (** Engine events executed. *)
-  secs : float;  (** CPU seconds ([Sys.time]) for the run. *)
+  secs : float;  (** Wall seconds for the run, on the monotonic clock. *)
+  cpu_secs : float;
+      (** Process CPU seconds ([Sys.time]) for the run, summed over all
+          domains; [cpu_secs /. secs] is the effective parallelism. *)
   events_per_sec : float;  (** [events /. secs]; the headline number. *)
   served : int;
   faults : int;
@@ -106,7 +109,8 @@ val des_point :
   seed:int ->
   des_point
 (** One {!Lesslog_des.Des_sim} run at identifier-space exponent [m] with
-    total demand [rate_per_node * live_nodes], timed with [Sys.time]. *)
+    total demand [rate_per_node * live_nodes], timed on the monotonic wall
+    clock (CPU time kept alongside). *)
 
 val des_sweep :
   ?ms:int list ->
@@ -135,7 +139,11 @@ type pdes_point = {
   pdes_domains : int;  (** Worker domains the run used (speed only). *)
   pdes_nodes : int;  (** Live nodes at the start of the run. *)
   pdes_events : int;  (** Engine events executed, summed over shards. *)
-  pdes_secs : float;  (** Wall CPU seconds ([Sys.time]) for the run. *)
+  pdes_secs : float;  (** Wall seconds for the run, on the monotonic clock. *)
+  pdes_cpu_secs : float;
+      (** Process CPU seconds ([Sys.time]), summed over every worker
+          domain; [pdes_cpu_secs /. pdes_secs] is the effective
+          parallelism. *)
   pdes_events_per_sec : float;
   pdes_served : int;
   pdes_faults : int;
@@ -177,7 +185,8 @@ val pdes_point :
   pdes_point
 (** One {!Lesslog_des.Pdes_sim} run at exponent [m] with [2^b] subtrees
     (default 2, i.e. 4 shards) on [domains] worker domains (default 1),
-    total demand [rate_per_node * live_nodes], timed with [Sys.time].
+    total demand [rate_per_node * live_nodes], timed on the monotonic
+    wall clock (CPU time kept alongside), so a parallel speedup shows.
     [fuse] and [faults] pass through to {!Lesslog_des.Pdes_sim.run}.
     The run seed is derived as [hash63 "seed|pdes|m"], so rows are
     independent and reproducible point-wise. *)
@@ -256,7 +265,8 @@ type adaptive_point = {
   ad_oracle_loss : float;  (** The fluid bound at [ad_replicas_end]. *)
   ad_digest : int;  (** Domain-count-invariant run digest. *)
   ad_events : int;
-  ad_secs : float;
+  ad_secs : float;  (** Wall seconds for the run, on the monotonic clock. *)
+  ad_cpu_secs : float;  (** Process CPU seconds ([Sys.time]), all domains. *)
 }
 
 val adaptive_policy :
@@ -366,7 +376,8 @@ type coldtier_point = {
   ct_repair_bytes : int;
   ct_bytes_end : int;
   ct_lost : bool;  (** The coded payload became unrecoverable. *)
-  ct_secs : float;
+  ct_secs : float;  (** Wall seconds for the run, on the monotonic clock. *)
+  ct_cpu_secs : float;  (** Process CPU seconds ([Sys.time]). *)
 }
 
 val coldtier_point :

@@ -7,7 +7,7 @@ type t =
 
 let default = Uniform { lo = 0.010; hi = 0.080 }
 
-let sample t rng =
+let[@inline] sample t rng =
   match t with
   | Constant d -> d
   | Uniform { lo; hi } -> lo +. Rng.float rng (hi -. lo)

@@ -1,8 +1,12 @@
 type handler = int -> int -> float -> unit
 
+(* The clock in an all-float record, stored flat: as a [mutable float]
+   field of [t] every dispatch would box the new time. *)
+type clock = { mutable now : float }
+
 type t = {
   q : Ladder_queue.t;
-  mutable clock : float;
+  clock : clock;
   mutable next_seq : int;
   mutable executed : int;
   mutable handlers : handler array;
@@ -26,7 +30,7 @@ let create () =
   let t =
     {
       q = Ladder_queue.create ();
-      clock = 0.0;
+      clock = { now = 0.0 };
       next_seq = 0;
       executed = 0;
       handlers = Array.make 8 noop_handler;
@@ -39,7 +43,7 @@ let create () =
   t.handlers.(0) <- (fun a _ _ -> run_thunk t a);
   t
 
-let now t = t.clock
+let[@inline] now t = t.clock.now
 
 let register_handler t f =
   if t.nhandlers = Array.length t.handlers then begin
@@ -52,17 +56,17 @@ let register_handler t f =
   t.nhandlers <- id + 1;
   id
 
-let enqueue t ~time ~h ~a ~b ~x =
+let[@inline] enqueue t ~time ~h ~a ~b ~x =
   Ladder_queue.push t.q ~time ~seq:t.next_seq ~h ~a ~b ~x;
   t.next_seq <- t.next_seq + 1
 
-let post_at t ~time ~h ~a ~b ~x =
-  if time < t.clock then invalid_arg "Engine.post_at: time in the past";
+let[@inline] post_at t ~time ~h ~a ~b ~x =
+  if time < t.clock.now then invalid_arg "Engine.post_at: time in the past";
   enqueue t ~time ~h ~a ~b ~x
 
-let post t ~delay ~h ~a ~b ~x =
+let[@inline] post t ~delay ~h ~a ~b ~x =
   if delay < 0.0 then invalid_arg "Engine.post: negative delay";
-  enqueue t ~time:(t.clock +. delay) ~h ~a ~b ~x
+  enqueue t ~time:(t.clock.now +. delay) ~h ~a ~b ~x
 
 (* Batched [post_at]: the first [len] slots of five parallel field
    arrays (a mailbox slice) in one call — one bounds/past validation
@@ -75,7 +79,7 @@ let post_batch t ~len ~time ~h ~a ~b ~x =
     || len > Array.length a || len > Array.length b || len > Array.length x
   then invalid_arg "Engine.post_batch: len exceeds a field array";
   for i = 0 to len - 1 do
-    if Array.unsafe_get time i < t.clock then
+    if Array.unsafe_get time i < t.clock.now then
       invalid_arg "Engine.post_batch: time in the past"
   done;
   let seq = ref t.next_seq in
@@ -106,12 +110,12 @@ let alloc_slot t action =
       slot
 
 let schedule_at t ~time action =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  if time < t.clock.now then invalid_arg "Engine.schedule_at: time in the past";
   enqueue t ~time ~h:0 ~a:(alloc_slot t action) ~b:0 ~x:0.0
 
 let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  enqueue t ~time:(t.clock +. delay) ~h:0 ~a:(alloc_slot t action) ~b:0 ~x:0.0
+  enqueue t ~time:(t.clock.now +. delay) ~h:0 ~a:(alloc_slot t action) ~b:0 ~x:0.0
 
 let pending t = Ladder_queue.length t.q
 
@@ -122,7 +126,7 @@ let dispatch_cursor t =
   let a = Ladder_queue.arg_a t.q in
   let b = Ladder_queue.arg_b t.q in
   let x = Ladder_queue.arg_x t.q in
-  t.clock <- time;
+  t.clock.now <- time;
   t.executed <- t.executed + 1;
   t.handlers.(h) a b x
 
@@ -149,7 +153,7 @@ let next_time_inf t =
   if Ladder_queue.is_empty t.q then Float.infinity
   else Ladder_queue.min_time t.q
 
-let advance_to t ~time = if time > t.clock then t.clock <- time
+let advance_to t ~time = if time > t.clock.now then t.clock.now <- time
 
 let run ?until ?(max_events = max_int) t =
   match until with

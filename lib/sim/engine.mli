@@ -7,7 +7,12 @@
 
     - the {b packed} plane — {!register_handler} + {!post}/{!post_at} —
       stores events as plain scalars [(h, a, b, x)] and dispatches through
-      a handler table, so the hot path allocates nothing per event;
+      a handler table. Queueing and popping allocate nothing once queue
+      capacity is warm; the one allocation per event is the float [x]
+      boxed when the handler closure is called (2 words), provided
+      {!post}/{!post_at} are inlined into the caller (release profile:
+      the dev profile's [-opaque] stops cross-module inlining, and a
+      float crossing a call that is not inlined is boxed);
     - the {b closure} plane — {!schedule}/{!schedule_at} — accepts
       arbitrary thunks, parked in a slot store and fired by a reserved
       handler. Convenient for rare timers (ticks, timeouts) and tests.
@@ -31,7 +36,8 @@ val register_handler : t -> (int -> int -> float -> unit) -> int
 
 val post : t -> delay:float -> h:int -> a:int -> b:int -> x:float -> unit
 (** Enqueue a packed event [delay] seconds from now for handler [h].
-    [delay >= 0]. Allocation-free once queue capacity is warm. *)
+    [delay >= 0]. Allocation-free once queue capacity is warm, when
+    inlined (see above). *)
 
 val post_at : t -> time:float -> h:int -> a:int -> b:int -> x:float -> unit
 (** Same at an absolute time [>= now]. *)

@@ -16,7 +16,8 @@
      width is fitted to the observed span.
 
    All bands store events in parallel scalar arrays (no per-event boxes),
-   so pushing or popping allocates nothing once capacity is reached. *)
+   and the queue's own float scalars live in an all-float record, so
+   pushing or popping allocates nothing once capacity is reached. *)
 
 type vec = {
   mutable t : float array;
@@ -49,7 +50,7 @@ let vec_reserve v =
     v.x <- grow_f v.x
   end
 
-let vec_push v ~time ~seq ~h ~a ~b ~x =
+let[@inline] vec_push v ~time ~seq ~h ~a ~b ~x =
   vec_reserve v;
   let i = v.len in
   Array.unsafe_set v.t i time;
@@ -74,7 +75,7 @@ let copy_slot v ~src ~dst =
   Array.unsafe_set v.b dst (Array.unsafe_get v.b src);
   Array.unsafe_set v.x dst (Array.unsafe_get v.x src)
 
-let write_slot v i ~time ~seq ~h ~a ~b ~x =
+let[@inline] write_slot v i ~time ~seq ~h ~a ~b ~x =
   Array.unsafe_set v.t i time;
   Array.unsafe_set v.s i seq;
   Array.unsafe_set v.h i h;
@@ -82,7 +83,7 @@ let write_slot v i ~time ~seq ~h ~a ~b ~x =
   Array.unsafe_set v.b i b;
   Array.unsafe_set v.x i x
 
-let heap_push v ~time ~seq ~h ~a ~b ~x =
+let[@inline] heap_push v ~time ~seq ~h ~a ~b ~x =
   vec_reserve v;
   let i = ref v.len in
   v.len <- v.len + 1;
@@ -98,9 +99,11 @@ let heap_push v ~time ~seq ~h ~a ~b ~x =
   done;
   write_slot v !i ~time ~seq ~h ~a ~b ~x
 
-(* Sink the event at [hole] (whose key is [(time, seq)], already read
-   out) to its heap position among [v.len] items. *)
-let sift_hole_down v hole ~time ~seq ~h ~a ~b ~x =
+(* Sink the event stored at [src], just past the [v.len] heap items, to
+   its heap position starting from [hole]. The event is read in place
+   rather than passed in: [time] and [x] would be boxed at the call. *)
+let sift_hole_down v hole ~src =
+  let time = Array.unsafe_get v.t src and seq = Array.unsafe_get v.s src in
   let n = v.len in
   let i = ref hole in
   let continue = ref true in
@@ -128,7 +131,7 @@ let sift_hole_down v hole ~time ~seq ~h ~a ~b ~x =
       else continue := false
     end
   done;
-  write_slot v !i ~time ~seq ~h ~a ~b ~x
+  copy_slot v ~src ~dst:!i
 
 (* Insertion sort by (time, seq). Dumped buckets arrive in push order, so
    ties (and the degenerate all-same-time bucket) are already sorted and
@@ -161,18 +164,20 @@ let sort_vec v =
 let heap_drop_root v =
   let last = v.len - 1 in
   v.len <- last;
-  if last > 0 then
-    sift_hole_down v 0 ~time:(Array.unsafe_get v.t last)
-      ~seq:(Array.unsafe_get v.s last) ~h:(Array.unsafe_get v.h last)
-      ~a:(Array.unsafe_get v.a last) ~b:(Array.unsafe_get v.b last)
-      ~x:(Array.unsafe_get v.x last)
+  if last > 0 then sift_hole_down v 0 ~src:last
 
 (* --- rungs -------------------------------------------------------------- *)
 
-type rung = {
+(* A rung's window, all floats so that it is stored flat (see [floats]
+   below): a far-band refill or a split rewrites it without boxing. *)
+type window = {
   mutable start : float;
   mutable width : float;  (* per-bucket time width *)
   mutable inv_width : float;  (* 1 / width, so indexing multiplies *)
+}
+
+type rung = {
+  g : window;
   mutable cur : int;      (* buckets below [cur] are drained *)
   mutable count : int;    (* events currently stored in this rung *)
   buckets : vec array;
@@ -180,28 +185,35 @@ type rung = {
 
 let max_rungs = 24
 
+(* The queue's float scalars. A record of floats only is stored flat,
+   so these writes allocate nothing; as [mutable float] fields of [t],
+   which also holds non-floats, each write would box a fresh float. *)
+type floats = {
+  mutable open_bound : float;
+      (* events strictly below this time belong to [opened] *)
+  mutable far_max : float;
+  mutable c_time : float;  (* pop cursor, with [c_seq] .. [c_b] *)
+  mutable c_x : float;
+}
+
 type t = {
   nbuckets : int;
   split_threshold : int;
   run : vec;  (* current bucket, sorted; drained by [run_pos] *)
   mutable run_pos : int;
   opened : vec;
-      (* overflow min-heap: events pushed below [open_bound] while the
+      (* overflow min-heap: events pushed below [f.open_bound] while the
          run drains (zero-delay messages, reentrant posts) *)
   far : vec;
-  mutable far_max : float;
   mutable rungs : rung array;  (* pooled; [nrungs] are active *)
   mutable nrungs : int;
-  mutable open_bound : float;
-      (* events strictly below this time belong to [opened] *)
   mutable size : int;
+  f : floats;
   (* pop cursor *)
-  mutable c_time : float;
   mutable c_seq : int;
   mutable c_h : int;
   mutable c_a : int;
   mutable c_b : int;
-  mutable c_x : float;
 }
 
 let create ?(buckets = 64) ?(split_threshold = 64) () =
@@ -213,17 +225,16 @@ let create ?(buckets = 64) ?(split_threshold = 64) () =
     run_pos = 0;
     opened = vec_make ();
     far = vec_make ();
-    far_max = neg_infinity;
     rungs = [||];
     nrungs = 0;
-    open_bound = neg_infinity;
     size = 0;
-    c_time = 0.0;
+    f =
+      { open_bound = neg_infinity; far_max = neg_infinity; c_time = 0.0;
+        c_x = 0.0 };
     c_seq = 0;
     c_h = 0;
     c_a = 0;
     c_b = 0;
-    c_x = 0.0;
   }
 
 let length t = t.size
@@ -233,9 +244,7 @@ let fresh_rung t =
   if t.nrungs = Array.length t.rungs then begin
     let r =
       {
-        start = 0.0;
-        width = 1.0;
-        inv_width = 1.0;
+        g = { start = 0.0; width = 1.0; inv_width = 1.0 };
         cur = 0;
         count = 0;
         buckets = Array.init t.nbuckets (fun _ -> vec_make ());
@@ -249,39 +258,41 @@ let fresh_rung t =
   r.count <- 0;
   r
 
-let bucket_index r time =
-  let i = int_of_float ((time -. r.start) *. r.inv_width) in
+let[@inline] bucket_index r time =
+  let i = int_of_float ((time -. r.g.start) *. r.g.inv_width) in
   if i < 0 then 0 else if i >= Array.length r.buckets then Array.length r.buckets - 1 else i
 
-let rung_end r = r.start +. (r.width *. float_of_int (Array.length r.buckets))
+let[@inline] rung_end r = r.g.start +. (r.g.width *. float_of_int (Array.length r.buckets))
 
-let push t ~time ~seq ~h ~a ~b ~x =
+(* A loop over rung indices rather than a recursive local function:
+   a local closure would be allocated on every push and would keep
+   [push] from being inlined, boxing [time] and [x] at each call. *)
+let[@inline] push t ~time ~seq ~h ~a ~b ~x =
   t.size <- t.size + 1;
-  if time < t.open_bound then heap_push t.opened ~time ~seq ~h ~a ~b ~x
+  if time < t.f.open_bound then heap_push t.opened ~time ~seq ~h ~a ~b ~x
   else begin
     (* innermost (finest) rung first: it covers the bucket its parent is
        currently processing. *)
-    let rec place i =
-      if i < 0 then begin
-        heap_push t.far ~time ~seq ~h ~a ~b ~x;
-        if time > t.far_max then t.far_max <- time
+    let i = ref (t.nrungs - 1) in
+    while !i >= 0 && not (time < rung_end t.rungs.(!i)) do
+      decr i
+    done;
+    if !i < 0 then begin
+      heap_push t.far ~time ~seq ~h ~a ~b ~x;
+      if time > t.f.far_max then t.f.far_max <- time
+    end
+    else begin
+      let r = t.rungs.(!i) in
+      let idx = bucket_index r time in
+      if idx < r.cur then
+        (* float boundary disagreement with [open_bound]: the bucket is
+           already drained, so the event joins the open heap. *)
+        heap_push t.opened ~time ~seq ~h ~a ~b ~x
+      else begin
+        vec_push r.buckets.(idx) ~time ~seq ~h ~a ~b ~x;
+        r.count <- r.count + 1
       end
-      else
-        let r = t.rungs.(i) in
-        if time < rung_end r then begin
-          let idx = bucket_index r time in
-          if idx < r.cur then
-            (* float boundary disagreement with [open_bound]: the bucket
-               is already drained, so the event joins the open heap. *)
-            heap_push t.opened ~time ~seq ~h ~a ~b ~x
-          else begin
-            vec_push r.buckets.(idx) ~time ~seq ~h ~a ~b ~x;
-            r.count <- r.count + 1
-          end
-        end
-        else place (i - 1)
-    in
-    place (t.nrungs - 1)
+    end
   end
 
 (* Scatter [v] into rung [r] (whose window covers every item), leaving
@@ -323,18 +334,18 @@ let vec_time_span v =
 (* Build a fresh bottom rung from the whole far band. *)
 let refill_from_far t =
   let start = t.far.t.(0) in
-  let span = t.far_max -. start in
+  let span = t.f.far_max -. start in
   let width =
     if span <= 0.0 then 1.0
     else span /. float_of_int (t.nbuckets - 1)
   in
   let r = fresh_rung t in
-  r.start <- start;
-  r.width <- width;
-  r.inv_width <- 1.0 /. width;
+  r.g.start <- start;
+  r.g.width <- width;
+  r.g.inv_width <- 1.0 /. width;
   scatter r t.far;
-  t.far_max <- neg_infinity;
-  t.open_bound <- start
+  t.f.far_max <- neg_infinity;
+  t.f.open_bound <- start
 
 let rec ensure_opened t =
   if t.run_pos >= t.run.len && t.opened.len = 0 && t.size > 0 then begin
@@ -347,35 +358,35 @@ let rec ensure_opened t =
         if t.nrungs > 0 then begin
           let parent = t.rungs.(t.nrungs - 1) in
           parent.cur <- parent.cur + 1;
-          t.open_bound <- parent.start +. (parent.width *. float_of_int parent.cur)
+          t.f.open_bound <- parent.g.start +. (parent.g.width *. float_of_int parent.cur)
         end
       end
       else begin
         let v = r.buckets.(r.cur) in
         if v.len = 0 then begin
           r.cur <- r.cur + 1;
-          t.open_bound <- r.start +. (r.width *. float_of_int r.cur)
+          t.f.open_bound <- r.g.start +. (r.g.width *. float_of_int r.cur)
         end
         else if
           v.len > t.split_threshold
           && t.nrungs < max_rungs
-          && r.width > 1e-12
+          && r.g.width > 1e-12
           && vec_time_span v > 0.0
         then begin
           (* split: a finer child rung over exactly this bucket *)
           let child = fresh_rung t in
-          child.start <- r.start +. (r.width *. float_of_int r.cur);
-          child.width <- r.width /. float_of_int t.nbuckets;
-          child.inv_width <- 1.0 /. child.width;
+          child.g.start <- r.g.start +. (r.g.width *. float_of_int r.cur);
+          child.g.width <- r.g.width /. float_of_int t.nbuckets;
+          child.g.inv_width <- 1.0 /. child.g.width;
           r.count <- r.count - v.len;
           scatter child v
-          (* open_bound unchanged: it already equals child.start *)
+          (* open_bound unchanged: it already equals child.g.start *)
         end
         else begin
           r.count <- r.count - v.len;
           dump_into_run t v;
           r.cur <- r.cur + 1;
-          t.open_bound <- r.start +. (r.width *. float_of_int r.cur)
+          t.f.open_bound <- r.g.start +. (r.g.width *. float_of_int r.cur)
         end
       end
     end;
@@ -406,22 +417,22 @@ let pop t =
     ensure_opened t;
     (if take_run t then begin
        let v = t.run and i = t.run_pos in
-       t.c_time <- Array.unsafe_get v.t i;
+       t.f.c_time <- Array.unsafe_get v.t i;
        t.c_seq <- Array.unsafe_get v.s i;
        t.c_h <- Array.unsafe_get v.h i;
        t.c_a <- Array.unsafe_get v.a i;
        t.c_b <- Array.unsafe_get v.b i;
-       t.c_x <- Array.unsafe_get v.x i;
+       t.f.c_x <- Array.unsafe_get v.x i;
        t.run_pos <- i + 1
      end
      else begin
        let v = t.opened in
-       t.c_time <- v.t.(0);
+       t.f.c_time <- v.t.(0);
        t.c_seq <- v.s.(0);
        t.c_h <- v.h.(0);
        t.c_a <- v.a.(0);
        t.c_b <- v.b.(0);
-       t.c_x <- v.x.(0);
+       t.f.c_x <- v.x.(0);
        heap_drop_root v
      end);
     t.size <- t.size - 1;
@@ -440,12 +451,12 @@ let pop_until t ~bound =
       let v = t.run and i = t.run_pos in
       let time = Array.unsafe_get v.t i in
       if time < bound then begin
-        t.c_time <- time;
+        t.f.c_time <- time;
         t.c_seq <- Array.unsafe_get v.s i;
         t.c_h <- Array.unsafe_get v.h i;
         t.c_a <- Array.unsafe_get v.a i;
         t.c_b <- Array.unsafe_get v.b i;
-        t.c_x <- Array.unsafe_get v.x i;
+        t.f.c_x <- Array.unsafe_get v.x i;
         t.run_pos <- i + 1;
         t.size <- t.size - 1;
         true
@@ -456,12 +467,12 @@ let pop_until t ~bound =
       let v = t.opened in
       let time = v.t.(0) in
       if time < bound then begin
-        t.c_time <- time;
+        t.f.c_time <- time;
         t.c_seq <- v.s.(0);
         t.c_h <- v.h.(0);
         t.c_a <- v.a.(0);
         t.c_b <- v.b.(0);
-        t.c_x <- v.x.(0);
+        t.f.c_x <- v.x.(0);
         heap_drop_root v;
         t.size <- t.size - 1;
         true
@@ -470,9 +481,9 @@ let pop_until t ~bound =
     end
   end
 
-let time t = t.c_time
+let[@inline] time t = t.f.c_time
 let seq t = t.c_seq
-let handler t = t.c_h
-let arg_a t = t.c_a
-let arg_b t = t.c_b
-let arg_x t = t.c_x
+let[@inline] handler t = t.c_h
+let[@inline] arg_a t = t.c_a
+let[@inline] arg_b t = t.c_b
+let[@inline] arg_x t = t.f.c_x

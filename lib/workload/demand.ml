@@ -65,7 +65,7 @@ let hotspot status ~at ~total =
   rates.(Pid.to_int at) <- total;
   { rates; total }
 
-let rate t p = t.rates.(Pid.to_int p)
+let[@inline] rate t p = t.rates.(Pid.to_int p)
 let total t = t.total
 
 let scale t ~factor =

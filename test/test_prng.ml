@@ -31,8 +31,13 @@ let test_split_differs () =
   Alcotest.(check bool) "split independent" true (xs <> ys)
 
 let test_splitmix_reference () =
-  (* Reference outputs for seed 1234567 from the published SplitMix64
-     algorithm (cross-checked against the C reference implementation). *)
+  (* The first outputs of the published SplitMix64 algorithm (Steele, Lea
+     & Flood 2014; the C reference [splitmix64.c]) from state 0. A
+     changed constant, shift or state update shows up here. *)
+  let g = Splitmix.create 0L in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "seed 0 stream" expected (Splitmix.next g))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
   let g = Splitmix.create 1234567L in
   let x0 = Splitmix.next g in
   let x1 = Splitmix.next g in
@@ -41,6 +46,33 @@ let test_splitmix_reference () =
   (* Same seed reproduces. *)
   let g' = Splitmix.create 1234567L in
   Alcotest.(check int64) "reproducible" x0 (Splitmix.next g')
+
+(* [copy] and [split] must hand out fresh state, never share the
+   parent's: advancing one generator leaves the other's stream as it
+   was. *)
+let test_splitmix_state_independent () =
+  let reference = Splitmix.create 99L in
+  let stream g = List.init 8 (fun _ -> Splitmix.next g) in
+  let a = Splitmix.create 99L in
+  let b = Splitmix.copy a in
+  let from_a = stream a in
+  Alcotest.(check (list int64)) "copy unaffected by parent" from_a (stream b);
+  Alcotest.(check (list int64)) "parent matches a fresh seed" (stream reference)
+    from_a;
+  let p = Splitmix.create 5L in
+  let c = Splitmix.split p in
+  let c' = Splitmix.copy c in
+  ignore (stream p);
+  Alcotest.(check (list int64)) "split unaffected by parent" (stream c')
+    (stream c);
+  let p2 = Splitmix.create 5L in
+  let c2 = Splitmix.split p2 in
+  ignore (stream c2);
+  let after_split = stream p2 in
+  let p3 = Splitmix.create 5L in
+  ignore (Splitmix.split p3);
+  Alcotest.(check (list int64)) "parent unaffected by split child"
+    (stream p3) after_split
 
 let prop_int_range =
   Test_support.qcheck_case ~name:"int within bound"
@@ -200,6 +232,8 @@ let () =
           Alcotest.test_case "copy independence" `Quick test_copy_independent;
           Alcotest.test_case "split differs" `Quick test_split_differs;
           Alcotest.test_case "splitmix reference" `Quick test_splitmix_reference;
+          Alcotest.test_case "splitmix state independence" `Quick
+            test_splitmix_state_independent;
           Alcotest.test_case "coarse uniformity" `Quick test_uniformity_coarse;
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         ] );
